@@ -62,6 +62,12 @@ class LockMode(enum.Enum):
     SIX = "SIX"
     X = "X"
 
+    # Identity hash, computed in C: ``Enum.__hash__`` hashes the member
+    # name in Python on every dict and frozenset probe, and the lock
+    # paths probe per request.  Members are singletons compared by
+    # identity, and the name hash was per-process randomized anyway.
+    __hash__ = object.__hash__
+
 
 #: requested mode -> set of already-granted modes it is compatible with
 #: (the classic Gray compatibility matrix).

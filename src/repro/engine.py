@@ -19,7 +19,7 @@ from .concurrency import LatchManager
 from .hlock import build_lock_manager
 from .config import SystemConfig
 from .refs import ExternalReferenceTable, LogAnalyzer, TemporaryReferenceTable
-from .sim import Delay, Resource, Simulator
+from .sim import Resource, Simulator, Use
 from .storage import ObjectStore, Oid
 from .storage.buffer import BufferPool
 from .txn import TransactionManager
@@ -75,18 +75,7 @@ class StorageEngine:
                  sim: Optional[Simulator] = None):
         self.config = config or SystemConfig()
         self.sim = sim or Simulator()
-        self.cpu = Resource(self.sim, capacity=self.config.cpu_count,
-                            name="cpu")
-        # Shared Delay commands for the fixed per-access CPU charges: the
-        # kernel only ever reads ``dt`` off a yielded Delay, so the hot
-        # transactional paths can reuse one instance per configured cost
-        # instead of allocating one per object access.
-        self._access_delay = Delay(self.config.cpu_object_access_ms)
-        self._update_delay = Delay(self.config.cpu_update_extra_ms)
-        # Hot-path guards: one attribute read instead of a config chase
-        # per access (a zero cost skips the CPU resource entirely).
-        self._charge_access = self.config.cpu_object_access_ms > 0
-        self._charge_update = self.config.cpu_update_extra_ms > 0
+        self._build_cpu()
         self.log_disk = Resource(self.sim, capacity=1, name="log-disk")
         self.data_disk = Resource(self.sim, capacity=1, name="data-disk")
         self.buffer = (BufferPool(self.sim, self.data_disk,
@@ -148,6 +137,21 @@ class StorageEngine:
         #: remote-parent ERT entry would read as spurious.
         self.remote_ert_expected = None
         self._wire_read_verification()
+
+    def _build_cpu(self) -> None:
+        """The CPU resource plus the shared ``Use`` commands of the fixed
+        per-access charges.  The kernel only reads a yielded ``Use``, so
+        the hot transactional paths reuse one instance per configured
+        cost instead of allocating one per object access; a zero cost is
+        ``None`` and skips the CPU entirely.  Both construction sites —
+        ``__init__`` and :meth:`recover` — call this."""
+        config = self.config
+        self.cpu = cpu = Resource(self.sim, capacity=config.cpu_count,
+                                  name="cpu")
+        self._access_use = (Use(cpu, config.cpu_object_access_ms)
+                            if config.cpu_object_access_ms > 0 else None)
+        self._update_use = (Use(cpu, config.cpu_update_extra_ms)
+                            if config.cpu_update_extra_ms > 0 else None)
 
     def _wire_read_verification(self) -> None:
         if self.buffer is not None and self.config.verify_page_reads:
@@ -268,8 +272,7 @@ class StorageEngine:
         engine = cls.__new__(cls)
         engine.config = image.config
         engine.sim = sim or Simulator()
-        engine.cpu = Resource(engine.sim, capacity=image.config.cpu_count,
-                              name="cpu")
+        engine._build_cpu()
         engine.log_disk = Resource(engine.sim, capacity=1, name="log-disk")
         engine.data_disk = Resource(engine.sim, capacity=1,
                                     name="data-disk")

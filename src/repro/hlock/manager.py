@@ -71,10 +71,12 @@ _INTENT: Dict[LockMode, LockMode] = {
     LockMode.X: LockMode.IX,
 }
 
-#: Coarse mode held on a granule -> the descendant modes it satisfies
-#: without a fine lock (SIX's IX half only licenses the holder's *own*
-#: further fine X locks, so implicitly it is S below).
+#: Mode held on a granule -> the descendant modes it satisfies without
+#: a fine lock (SIX's IX half only licenses the holder's *own* further
+#: fine X locks, so implicitly it is S below; intents cover nothing).
 _COVERS_BELOW: Dict[LockMode, frozenset] = {
+    LockMode.IS: frozenset(),
+    LockMode.IX: frozenset(),
     LockMode.S: frozenset({LockMode.S, LockMode.IS}),
     LockMode.SIX: frozenset({LockMode.S, LockMode.IS}),
     LockMode.X: frozenset(LockMode),
@@ -121,7 +123,7 @@ class HierarchicalLockManager(LockManager):
         self._objects_held: Dict[int, Set[Oid]] = {}
 
     def _grant(self, entry, tid: int, mode: LockMode, key) -> None:
-        super()._grant(entry, tid, mode, key)
+        LockManager._grant(self, entry, tid, mode, key)
         if type(key) is Oid:
             objs = self._objects_held.get(tid)
             if objs is None:
@@ -157,21 +159,66 @@ class HierarchicalLockManager(LockManager):
     def try_acquire(self, tid: int, key, mode: LockMode) -> bool:
         if not isinstance(key, Oid):
             return super().try_acquire(tid, key, mode)
-        page = self._page_g(key.partition, key.page)
-        part = self._part_g(key.partition)
-        covering = self._covering(tid, page, part, mode)
-        if covering is not None:
-            self.stats.requests += 1
-            self._note_covered(tid, covering, key, mode)
+        partition = key.partition
+        page = self._page_granules.get((partition, key.page))
+        if page is None:
+            page = self._page_g(partition, key.page)
+        part = self._part_granules.get(partition)
+        if part is None:
+            part = self._part_g(partition)
+        # One read of the transaction's two ancestor grants serves the
+        # coverage test, the held-intent test and (below) escalation.
+        table = self._table
+        entry = table.get(page)
+        page_held = entry.granted.get(tid) if entry is not None else None
+        entry = table.get(part)
+        part_held = entry.granted.get(tid) if entry is not None else None
+        stats = self.stats
+        # Coverage, page before partition (``_covering``'s order).
+        if page_held is not None and mode in _COVERS_BELOW[page_held]:
+            stats.requests += 1
+            self._note_covered(tid, page, key, mode)
+            return True
+        if part_held is not None and mode in _COVERS_BELOW[part_held]:
+            stats.requests += 1
+            self._note_covered(tid, part, key, mode)
             return True
         intent = _INTENT[mode]
-        for granule in self._ancestors(tid, key, intent):
-            if not self._acquire_granule(tid, granule, intent):
-                return False
-        if not super().try_acquire(tid, key, mode):
+        if page_held is not None and part_held is not None and \
+                intent in _COVERS[page_held] and intent in _COVERS[part_held]:
+            # Both intents already held strongly enough: each granule
+            # request would be a side-effect-free re-entrant grant in the
+            # base manager, which counts it and returns.  Count them the
+            # same way and skip the walk.
+            stats.requests += 2
+        else:
+            for granule in self._ancestors(tid, key, intent):
+                if not self._acquire_granule(tid, granule, intent):
+                    return False
+        entry = table.get(key)
+        if entry is None:
+            # First touch of the object: the base manager's trivially
+            # grantable path, inlined.
+            stats.requests += 1
+            table[key] = entry = _LockEntry()
+            if len(table) > stats.table_peak:
+                stats.table_peak = len(table)
+            self._grant(entry, tid, mode, key)
+        elif not super().try_acquire(tid, key, mode):
             return False
-        self._note_fine(tid, page, key, mode)
-        self._maybe_escalate(tid, page, part)
+        # ``_note_fine`` and the page half of ``_maybe_escalate``, inlined.
+        fine = self._fine.get(tid)
+        if fine is None:
+            fine = self._fine[tid] = {}
+        page_map = fine.get(page)
+        if page_map is None:
+            page_map = fine[page] = {}
+        old = page_map.get(key)
+        page_map[key] = mode if old is None else _SUP[old][mode]
+        if 0 < self.escalate_after <= len(page_map):
+            self._escalate(tid, page, page_map)
+        if self.partition_escalate_after > 0:
+            self._maybe_escalate_partition(tid, part)
         return True
 
     def acquire_wait(self, tid: int, key, mode: LockMode,
@@ -215,14 +262,20 @@ class HierarchicalLockManager(LockManager):
             entry = table.get(granule)
             if entry is not None:
                 held = entry.granted.get(tid)
-                if held is not None and \
-                        mode in _COVERS_BELOW.get(held, ()):
+                if held is not None and mode in _COVERS_BELOW[held]:
                     return granule
         return None
 
     def _note_covered(self, tid: int, granule, oid: Oid,
                       mode: LockMode) -> None:
-        bucket = self._covered.setdefault(tid, {}).setdefault(granule, {})
+        # get-or-insert: ``setdefault`` would allocate two throwaway
+        # dicts on every covered request.
+        cov = self._covered.get(tid)
+        if cov is None:
+            cov = self._covered[tid] = {}
+        bucket = cov.get(granule)
+        if bucket is None:
+            bucket = cov[granule] = {}
         old = bucket.get(oid)
         bucket[oid] = mode if old is None else _SUP[old][mode]
 
@@ -249,12 +302,16 @@ class HierarchicalLockManager(LockManager):
                         len(page_map) >= self.escalate_after:
                     self._escalate(tid, page, page_map)
         if self.partition_escalate_after > 0:
-            fine = self._fine.get(tid)
-            if fine:
-                total = sum(len(oids) for g, oids in fine.items()
-                            if g.partition == part.partition)
-                if total >= self.partition_escalate_after:
-                    self._escalate_partition(tid, part)
+            self._maybe_escalate_partition(tid, part)
+
+    def _maybe_escalate_partition(self, tid: int,
+                                  part: PartitionGranule) -> None:
+        fine = self._fine.get(tid)
+        if fine:
+            total = sum(len(oids) for g, oids in fine.items()
+                        if g.partition == part.partition)
+            if total >= self.partition_escalate_after:
+                self._escalate_partition(tid, part)
 
     def _escalation_safe(self, tid: int, granule,
                          target: LockMode) -> bool:

@@ -6,7 +6,7 @@ paper's threaded performance study is reproduced on a simulator.
 
 from .errors import ProcessKilled, SimError, SimulationDeadlock, WaitTimeout
 from .kernel import (Delay, Event, Process, ScheduleEntry, SchedulerPolicy,
-                     Simulator, TimerHandle, Wait)
+                     Simulator, TimerHandle, Use, Wait)
 from .resources import CpuMeter, Mutex, Resource
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "SimulationDeadlock",
     "Simulator",
     "TimerHandle",
+    "Use",
     "Wait",
     "WaitTimeout",
 ]

@@ -18,6 +18,24 @@ A process is a generator that yields *commands*:
     If ``timeout`` elapses first, :class:`~repro.sim.errors.WaitTimeout`
     is raised inside the process.
 
+``Use(resource, dt)``
+    Hold one slot of a FCFS :class:`~repro.sim.resources.Resource` for
+    ``dt`` time units, queueing first if none is free.  The kernel
+    serves the whole hold: a free slot is granted on the spot; a queued
+    :class:`_Hold` is scheduled by the ``release()`` that hands it the
+    slot, and that wakeup starts the ``dt`` timer without resuming the
+    process.  When the timer fires the kernel releases the slot, then
+    resumes the generator.  ``Use(resource, None)`` acquires a slot and
+    keeps it until the process calls ``resource.release()``.
+
+    This is the schedule of a ``Wait`` on a grant event, then
+    ``Delay(dt)``, then ``finally: release()``: same events, ``seq``
+    order and labels.  A process killed while queued leaves the queue;
+    one killed after its grant or mid-hold releases the slot, before the
+    kill is thrown into the generator.  A wakeup or timer already queued
+    for a dead hold still dispatches, as a no-op.  DESIGN.md has the
+    full argument.
+
 Engine code composes blocking operations with ``yield from``; the value a
 sub-generator ``return``s propagates to the caller as usual.
 
@@ -166,6 +184,26 @@ class Wait:
         return f"Wait({self.event!r}, timeout={self.timeout!r})"
 
 
+class Use:
+    """Command: hold one slot of ``resource`` for ``dt`` time units
+    (``dt=None``: acquire and keep it until ``resource.release()``).
+
+    Instances are immutable as far as the kernel is concerned, so hot
+    paths share one prebuilt command per (resource, cost) pair.
+    """
+
+    __slots__ = ("resource", "dt")
+
+    def __init__(self, resource: Any, dt: Optional[float]):
+        if dt is not None and dt < 0:
+            raise ValueError(f"negative hold: {dt!r}")
+        self.resource = resource
+        self.dt = dt
+
+    def __repr__(self) -> str:
+        return f"Use({self.resource!r}, {self.dt!r})"
+
+
 class Event:
     """A one-shot event processes can wait on.
 
@@ -296,6 +334,67 @@ class _Waiter:
             f"process {proc.name} timed out waiting for {self.event!r}"))
 
 
+#: :class:`_Hold` states.
+_QUEUED, _GRANTED, _HOLDING, _SETTLED = range(4)
+
+
+class _Hold:
+    """One process's claim on a resource slot, for one ``Use`` command.
+
+    Queued on the resource while no slot is free; once granted, the
+    record itself is the callback the kernel schedules — first (if it
+    queued) to start the hold timer, then to end the hold.  A dead
+    process's record is ``_SETTLED``, which turns both into no-ops.
+    """
+
+    __slots__ = ("proc", "resource", "dt", "state")
+
+    def __init__(self, proc: "Process", resource: Any,
+                 dt: Optional[float], state: int):
+        self.proc = proc
+        self.resource = resource
+        self.dt = dt
+        self.state = state
+
+    def grant(self) -> None:
+        """``release()`` handed this waiter the slot: wake it now."""
+        self.state = _GRANTED
+        proc = self.proc
+        proc.sim._schedule(0.0, self, proc.name)
+
+    def __call__(self) -> None:
+        state = self.state
+        if state == _HOLDING:
+            # The hold is over: free the slot (it may pass straight to
+            # the next waiter), then run the process on.
+            self.state = _SETTLED
+            proc = self.proc
+            proc._waiter = None
+            self.resource.release()
+            proc._step()
+        elif state == _GRANTED:
+            proc = self.proc
+            if self.dt is None:
+                # A bare acquire: the process owns the slot from here.
+                self.state = _SETTLED
+                proc._waiter = None
+                proc._step()
+            else:
+                self.state = _HOLDING
+                proc.sim._schedule(self.dt, self, proc.name)
+
+    def cancel(self) -> None:
+        # The process died while queued, granted or holding: withdraw
+        # the queue entry or pass the slot on, so the resource never
+        # wedges.
+        state = self.state
+        self.state = _SETTLED
+        if state == _QUEUED:
+            self.resource._waiters.remove(self)
+        elif state != _SETTLED:
+            self.resource.release()
+
+
 class Process:
     """A running generator managed by the simulator.
 
@@ -312,9 +411,10 @@ class Process:
         self.gen = gen
         self.done = Event(sim, name=f"done:{name}")
         self._alive = True
-        # The in-flight Wait registration, if any — a killed or finished
-        # process must not linger on an event's waiter list.
-        self._waiter: Optional[_Waiter] = None
+        # The in-flight Wait registration or resource hold, if any — a
+        # killed or finished process must not linger on an event's
+        # waiter list, nor keep or queue for a resource slot.
+        self._waiter: Optional[Any] = None
 
     @property
     def alive(self) -> bool:
@@ -358,12 +458,27 @@ class Process:
         except BaseException as exc:  # noqa: BLE001 - reported via done event
             self._finish(exc=exc)
             return
-        # Exact-type fast paths for the two commands every step yields
+        # Exact-type fast paths for the commands every step yields
         # (``isinstance`` plus a second call frame were measurable);
         # subclasses and stray commands fall through to ``_dispatch``.
         cls = command.__class__
         if cls is Delay:
             self.sim._schedule(command.dt, self._step, self.name)
+        elif cls is Use:
+            # ``_use`` inlined for timed holds: this is every CPU charge,
+            # the most frequent command of a run.
+            resource = command.resource
+            dt = command.dt
+            if dt is None:
+                self._use(resource, dt)
+            elif resource._in_use < resource.capacity \
+                    and not resource._waiters:
+                resource._grant()
+                self._waiter = hold = _Hold(self, resource, dt, _HOLDING)
+                self.sim._schedule(dt, hold, self.name)
+            else:
+                self._waiter = hold = _Hold(self, resource, dt, _QUEUED)
+                resource._waiters.append(hold)
         elif cls is Wait:
             self._wait(command.event, command.timeout)
         else:
@@ -388,6 +503,8 @@ class Process:
             if dt < 0:
                 raise ValueError(f"negative delay: {dt!r}")
             self.sim._schedule(dt, self._step, self.name)
+        elif isinstance(command, Use):
+            self._use(command.resource, command.dt)
         elif isinstance(command, Wait):
             self._wait(command.event, command.timeout)
         elif isinstance(command, Event):
@@ -395,13 +512,27 @@ class Process:
         else:
             self._step(throw=TypeError(
                 f"process {self.name} yielded unsupported command "
-                f"{command!r}; yield Delay(...), Wait(...) or an Event"))
+                f"{command!r}; yield Delay(...), Wait(...), Use(...) "
+                f"or an Event"))
 
     def _cancel_wait(self) -> None:
         waiter = self._waiter
         if waiter is not None:
             self._waiter = None
             waiter.cancel()
+
+    def _use(self, resource: Any, dt: Optional[float]) -> None:
+        if resource._in_use < resource.capacity and not resource._waiters:
+            resource._grant()
+            # A granted bare acquire (``dt=None``) still resumes on the
+            # next step, as a Wait on an already-fired event would.
+            hold = _Hold(self, resource, dt,
+                         _GRANTED if dt is None else _HOLDING)
+            self.sim._schedule(dt or 0.0, hold, self.name)
+        else:
+            hold = _Hold(self, resource, dt, _QUEUED)
+            resource._waiters.append(hold)
+        self._waiter = hold
 
     def _wait(self, event: Event, timeout: Optional[float]) -> None:
         waiter = _Waiter(self, event)

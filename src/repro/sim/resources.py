@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator, Optional
 
-from .kernel import Delay, Event, Simulator, Wait
+from .kernel import Simulator, Use, _Hold
 
 
 class Resource:
@@ -24,7 +24,7 @@ class Resource:
 
     Usage from process code::
 
-        yield from cpu.use(3.0)          # acquire, hold 3 ms, release
+        yield Use(cpu, 3.0)              # acquire, hold 3 ms, release
 
     or, for non-delay critical sections::
 
@@ -33,6 +33,10 @@ class Resource:
             ...
         finally:
             cpu.release()
+
+    The kernel serves ``Use`` holds itself (see :mod:`repro.sim.kernel`):
+    waiters queue here as :class:`~repro.sim.kernel._Hold` records, and
+    :meth:`release` grants the next one directly.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -41,9 +45,8 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name or "resource"
-        self._grant_name = self.name + ":grant"
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[_Hold] = deque()
         # Aggregate statistics; cheap to keep and used by the benchmarks to
         # report utilisation.
         self.total_busy_time = 0.0
@@ -58,55 +61,17 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def try_use(self) -> bool:
-        """Uncontended-acquire fast path: grant and return ``True`` when a
-        slot is free and nobody queues ahead, else ``False`` (the caller
-        should then ``yield Wait(self.wait_gate())``).  Lets hot process
-        code skip creating an ``acquire()``/``use()`` generator for the
-        common uncontended case."""
-        if self._in_use < self.capacity and not self._waiters:
-            # ``_grant`` inlined: this brackets every uncontended CPU
-            # charge, the most frequent resource operation in a run.
-            if self._in_use == 0:
-                self._busy_since = self.sim._now
-            self._in_use += 1
-            self.total_acquisitions += 1
-            return True
-        return False
-
-    def wait_gate(self) -> Event:
-        """Enqueue the caller and return the gate ``release`` will fire;
-        the slot is already granted by the time the gate fires.
-
-        A caller killed at its ``yield Wait(gate)`` MUST call
-        :meth:`cancel_wait` (the kernel throws into the generator, so an
-        ``except BaseException`` around the wait sees it) — otherwise
-        the queue entry, or the already-granted slot, leaks and the
-        resource wedges for every later user.
-        """
-        gate = Event(self.sim, self._grant_name)
-        self._waiters.append(gate)
-        return gate
-
-    def cancel_wait(self, gate: Event) -> None:
-        """Withdraw a :meth:`wait_gate` registration after its waiter
-        died.  If the gate already fired the slot was granted to the
-        corpse — release it onward; otherwise drop the queue entry."""
-        if gate.fired:
-            self.release()
-        else:
-            self._waiters.remove(gate)
-
     def acquire(self) -> Generator[Any, Any, None]:
-        """Blocking acquire (generator; compose with ``yield from``)."""
-        if not self.try_use():
-            gate = self.wait_gate()
-            try:
-                yield Wait(gate)
-            except BaseException:
-                self.cancel_wait(gate)
-                raise
-        # _release granted us the slot before firing the gate.
+        """Blocking acquire (generator; compose with ``yield from``).
+
+        A free slot is taken synchronously, without a scheduler step;
+        otherwise the process queues until :meth:`release` grants it
+        one.
+        """
+        if self._in_use < self.capacity and not self._waiters:
+            self._grant()
+            return
+        yield Use(self, None)
 
     def release(self) -> None:
         """Release one slot and hand it to the oldest waiter, if any."""
@@ -118,26 +83,14 @@ class Resource:
             self.total_busy_time += self.sim._now - self._busy_since
             self._busy_since = None
         if self._waiters:
-            gate = self._waiters.popleft()
+            hold = self._waiters.popleft()
             self._grant()
-            gate.succeed()
+            hold.grant()
 
     def use(self, duration: float) -> Generator[Any, Any, None]:
-        """Acquire, hold for ``duration`` simulated ms, release."""
-        # Uncontended acquire inlined: ``use`` brackets every simulated
-        # CPU charge, so the generator ``yield from self.acquire()``
-        # would create is measurable in the benchmarks.
-        if not self.try_use():
-            gate = self.wait_gate()
-            try:
-                yield Wait(gate)
-            except BaseException:
-                self.cancel_wait(gate)
-                raise
-        try:
-            yield Delay(duration)
-        finally:
-            self.release()
+        """Acquire, hold for ``duration`` simulated ms, release (generator
+        form of ``yield Use(self, duration)``)."""
+        yield Use(self, duration)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of ``horizon`` (default: sim.now) the resource was busy."""
@@ -149,7 +102,7 @@ class Resource:
 
     def _grant(self) -> None:
         if self._in_use == 0:
-            self._busy_since = self.sim.now
+            self._busy_since = self.sim._now
         self._in_use += 1
         self.total_acquisitions += 1
 
@@ -181,7 +134,7 @@ class CpuMeter:
     def flush(self) -> Generator[Any, Any, None]:
         if self._pending > 0:
             pending, self._pending = self._pending, 0.0
-            yield from self.resource.use(pending)
+            yield Use(self.resource, pending)
 
 
 class Mutex:

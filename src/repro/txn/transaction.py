@@ -25,7 +25,7 @@ from typing import Any, Generator, List, Optional, Set, Tuple
 
 from ..concurrency import LockMode
 from ..errors import ReferenceProtocolError, TransactionStateError
-from ..sim import Delay, Wait
+from ..sim import Use
 from ..storage import ObjectImage, Oid
 from ..wal.apply import apply_record, invert_record
 from ..wal.records import (
@@ -106,33 +106,20 @@ class Transaction:
         if self.status is not TxnStatus.ACTIVE:
             self._require_active()
         engine = self.engine
-        # Flattened fast paths: the uncontended lock grant, the
-        # memory-resident page fix and the CPU charge would each cost a
-        # generator per access through the generic helpers — this is the
-        # hottest method in the benchmarks.  (The status check and the
-        # history/tracer notes are inlined here for the same reason.)
+        # Flattened fast paths: the uncontended lock grant and the
+        # memory-resident page fix would each cost a generator per access
+        # through the generic helpers — this is the hottest method in the
+        # benchmarks.  (The status check and the history/tracer notes are
+        # inlined here for the same reason.)  The CPU charge is one
+        # prebuilt ``Use`` the kernel serves, contended or not.
         mode = LockMode.X if for_update else LockMode.S
         if not engine.locks.try_acquire(self.tid, oid, mode):
             yield from engine.locks.acquire_wait(self.tid, oid, mode)
         if engine.buffer is not None:
             yield from engine.fix_page(oid)
-        if engine._charge_access:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                # The engine pre-builds one Delay per configured cost —
-                # the kernel only reads ``dt``, so sharing the instance
-                # across every access is safe and skips an allocation on
-                # the hottest yield in the benchmarks.
-                yield engine._access_delay
-            finally:
-                cpu.release()
+        use = engine._access_use
+        if use is not None:
+            yield use
         # One cache lookup yields both the private image copy and the
         # store's shared children tuple (cheaper than re-scanning the
         # copy's ref slots per read).
@@ -168,19 +155,9 @@ class Transaction:
             yield from engine.locks.acquire_wait(self.tid, oid, mode)
         if engine.buffer is not None:
             yield from engine.fix_page(oid)
-        if engine._charge_access:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                yield engine._access_delay
-            finally:
-                cpu.release()
+        use = engine._access_use
+        if use is not None:
+            yield use
         children = engine.store.children_tuple(oid)
         self.local_refs.update(children)
         self.local_refs.add(oid)
@@ -206,19 +183,9 @@ class Transaction:
             yield from engine.locks.acquire_wait(self.tid, oid, LockMode.X)
         if engine.buffer is not None:
             yield from engine.fix_page(oid, dirty=True)
-        if engine._charge_update:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                yield engine._update_delay
-            finally:
-                cpu.release()
+        use = engine._update_use
+        if use is not None:
+            yield use
         store = engine.store
         before = store.get_payload(oid)[offset:offset + len(data)]
         if self._history is not None:
@@ -303,22 +270,12 @@ class Transaction:
                                                  LockMode.X)
         if engine.buffer is not None:
             yield from engine.fix_page(parent, dirty=True)
-        cost = (engine.config.cpu_update_extra_ms
-                if cpu_ms is None else cpu_ms)
-        if cost > 0:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                yield (engine._update_delay if cpu_ms is None
-                       else Delay(cost))
-            finally:
-                cpu.release()
+        if cpu_ms is None:
+            use = engine._update_use
+        else:
+            use = Use(engine.cpu, cpu_ms) if cpu_ms > 0 else None
+        if use is not None:
+            yield use
         store = engine.store
         old_child = store.get_ref(parent, slot)
         if old_child is not None:
@@ -451,7 +408,7 @@ class Transaction:
 
     def _cpu(self, duration: float) -> Generator[Any, Any, None]:
         if duration > 0:
-            yield from self.engine.cpu.use(duration)
+            yield Use(self.engine.cpu, duration)
 
     def _note(self, action: str, oid: Oid) -> None:
         """Feed one observed access into the engine's history recorder

@@ -97,6 +97,26 @@ def test_recovered_engine_supports_new_transactions(engine):
     assert recovered.verify_integrity().ok
 
 
+def test_recovered_engine_charges_reads_and_payload_writes(engine):
+    parent, child = populate(engine)
+    recovered = StorageEngine.recover(engine.crash())
+    config = recovered.config
+
+    def body(txn):
+        image = yield from txn.read(parent)
+        yield from txn.write_payload(child, 0, b"z")
+        return image
+    started = recovered.sim.now
+    image = committed(recovered, body)
+    assert image.get_ref(0) == child
+    assert recovered.store.get_payload(child)[:1] == b"z"
+    # Both per-access CPU charges were paid on the recovered CPU.
+    assert recovered.cpu.total_acquisitions == 2
+    assert recovered.sim.now - started >= (config.cpu_object_access_ms
+                                           + config.cpu_update_extra_ms)
+    assert recovered.verify_integrity().ok
+
+
 def test_ert_created_on_demand(engine):
     ert = engine.ert_for(5)
     assert ert.partition_id == 5

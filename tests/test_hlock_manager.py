@@ -7,12 +7,17 @@ introspection the explorer's oracle uses, and deadlock cycles that pass
 through ancestor granules.
 """
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.concurrency import (DeadlockError, LockManager, LockMode,
                                LockTimeoutError)
+from repro.explore.mutations import MUTATIONS
 from repro.hlock import (HierarchicalLockManager, PageGranule,
                          PartitionGranule, descendant_of)
+from repro.hlock.manager import _INTENT
 from repro.sim import Delay, Simulator
 from repro.storage.oid import Oid
 
@@ -298,6 +303,179 @@ def test_granule_wait_times_out_like_any_other():
     sim.spawn(blocked())
     sim.run()
     assert log == [("timeout", 50.0)]
+
+
+# -- the O(1) path for covered and intent-held requests -----------------------
+#
+# ``try_acquire`` answers a request its transaction's held page or
+# partition lock covers, or whose two ancestor intents it already holds,
+# without walking the granules.  ``_walking_try_acquire`` below is the
+# reference: every request walks coverage, ancestors and the fine grant
+# through the manager's own helpers (the ones ``acquire_wait`` uses).
+# Both must count, grant, remember and report exactly the same.
+
+
+def _walking_try_acquire(locks, tid, key, mode):
+    page = locks._page_g(key.partition, key.page)
+    part = locks._part_g(key.partition)
+    covering = locks._covering(tid, page, part, mode)
+    if covering is not None:
+        locks.stats.requests += 1
+        locks._note_covered(tid, covering, key, mode)
+        return True
+    intent = _INTENT[mode]
+    for granule in locks._ancestors(tid, key, intent):
+        if not locks._acquire_granule(tid, granule, intent):
+            return False
+    if not LockManager.try_acquire(locks, tid, key, mode):
+        return False
+    locks._note_fine(tid, page, key, mode)
+    locks._maybe_escalate(tid, page, part)
+    return True
+
+
+def _state(locks):
+    stats = locks.stats
+    return ((stats.requests, stats.escalations, stats.escalation_failures,
+             stats.deescalations, stats.table_peak),
+            {key: dict(entry.granted) for key, entry in locks._table.items()},
+            {tid: sorted(keys) for tid, keys in locks._held_by.items()},
+            {tid: sorted(keys) for tid, keys in locks._objects_held.items()},
+            {tid: {g: dict(m) for g, m in fine.items()}
+             for tid, fine in locks._fine.items()},
+            {tid: {g: dict(m) for g, m in cov.items()}
+             for tid, cov in locks._covered.items()},
+            {tid: dict(failed) for tid, failed in locks._esc_failed.items()})
+
+
+def _granule_grants(locks):
+    return {key: dict(entry.granted) for key, entry in locks._table.items()
+            if not isinstance(key, Oid)}
+
+
+def _twins(setup, **kwargs):
+    """Two managers with the same history, each logging observer calls.
+    The first refuses to walk its ancestors from here on: its requests
+    must take the O(1) path."""
+    pair = []
+    for _ in range(2):
+        locks = manager(Simulator(), **kwargs)
+        setup(locks)
+        log = []
+        locks.observer = lambda *event, log=log: log.append(event)
+        pair.append((locks, log))
+
+    def no_walk(tid, key, intent):
+        raise AssertionError(f"walked the ancestors of {key}")
+    pair[0][0]._ancestors = no_walk
+    return pair
+
+
+def test_covered_request_counts_like_the_slow_path():
+    def setup(locks):
+        for slot in range(3):  # escalates: t1 holds S on PAGE0
+            assert locks.try_acquire(1, oid(0, slot), LockMode.S)
+    (fast, fast_log), (slow, slow_log) = _twins(setup, escalate_after=3)
+    assert fast._table[PAGE0].granted[1] is LockMode.S
+    before = _state(fast)
+    granules = _granule_grants(fast)
+
+    assert fast.try_acquire(1, oid(0, 7), LockMode.S)
+    assert _walking_try_acquire(slow, 1, oid(0, 7), LockMode.S)
+    assert _state(fast) == _state(slow)
+    assert fast.stats.requests == before[0][0] + 1
+    # Nothing granted anywhere: no new granule, no new table entry.
+    assert _granule_grants(fast) == granules
+    assert oid(0, 7) not in fast._table
+    assert fast_log == slow_log == []
+    assert fast.holds(1, oid(0, 7), LockMode.S)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["re-entrant",
+                                                 "other-holder",
+                                                 "first-touch"])
+def test_intent_held_request_counts_like_the_slow_path(slot):
+    def setup(locks):
+        assert locks.try_acquire(1, oid(0, 0), LockMode.X)  # IX, IX
+        assert locks.try_acquire(2, oid(0, 1), LockMode.S)
+    (fast, fast_log), (slow, slow_log) = _twins(setup)
+    before = _state(fast)
+    granules = _granule_grants(fast)
+
+    mode = LockMode.X if slot == 0 else LockMode.S
+    assert fast.try_acquire(1, oid(0, slot), mode)
+    assert _walking_try_acquire(slow, 1, oid(0, slot), mode)
+    assert _state(fast) == _state(slow)
+    # Two re-entrant intent requests plus the object request.
+    assert fast.stats.requests == before[0][0] + 3
+    # The held IX intents already cover IS: no granule is granted or
+    # upgraded, only (on first touch of the pair) the object lock.
+    assert _granule_grants(fast) == granules
+    assert fast_log == slow_log
+    assert all(not isinstance(event[2], (PageGranule, PartitionGranule))
+               for event in fast_log)
+    assert fast.holds(1, oid(0, slot), mode)
+
+
+@pytest.mark.parametrize("escalate_after, partition_escalate_after",
+                         [(0, 0), (2, 0), (3, 0), (0, 5), (3, 7)])
+def test_requests_match_the_walking_reference(escalate_after,
+                                              partition_escalate_after):
+    """Seeded random request streams: three transactions over two
+    partitions of three pages, S and X, with commits; every request
+    returns, counts, grants and escalates as the reference does."""
+    rng = random.Random(escalate_after * 10 + partition_escalate_after)
+    pair = []
+    for _ in range(2):
+        locks = manager(Simulator(), escalate_after=escalate_after,
+                        partition_escalate_after=partition_escalate_after)
+        log = []
+        locks.observer = lambda *event, log=log: log.append(event)
+        pair.append((locks, log))
+    (fast, fast_log), (slow, slow_log) = pair
+    outcomes = set()
+    for _ in range(2000):
+        tid = rng.randrange(1, 4)
+        if rng.random() < 0.04:
+            assert fast.release_all(tid) == slow.release_all(tid)
+        else:
+            key = oid(rng.randrange(3), rng.randrange(4),
+                      partition=rng.randrange(1, 3))
+            mode = LockMode.X if rng.random() < 0.2 else LockMode.S
+            granted = fast.try_acquire(tid, key, mode)
+            assert granted == _walking_try_acquire(slow, tid, key, mode)
+            outcomes.add(granted)
+        assert _state(fast) == _state(slow)
+        assert fast_log == slow_log
+    # Both outcomes and real escalation traffic were exercised.
+    assert outcomes == {True, False}
+    if escalate_after or partition_escalate_after:
+        assert fast.stats.escalations > 0
+
+
+def test_missing_ancestor_intent_mutation_still_bites():
+    locks = manager(Simulator())
+    mutation = MUTATIONS["missing_ancestor_intent"]()
+    mutation.install(SimpleNamespace(locks=locks), None)
+    assert locks.try_acquire(2, oid(0, 1), LockMode.S)  # populates PAGE0
+    assert not mutation.triggered  # t2 found PAGE0 empty
+    assert locks.try_acquire(1, oid(0, 0), LockMode.S)
+    assert mutation.triggered
+    assert locks.missing_ancestor_intents(1)
+
+
+def test_escalate_over_conflict_mutation_still_bites():
+    # t1's third S request has both intents held (the O(1) path); its
+    # escalation must still consult the planted grantability check.
+    locks = manager(Simulator(), escalate_after=3)
+    mutation = MUTATIONS["escalate_over_conflict"]()
+    mutation.install(SimpleNamespace(locks=locks), None)
+    assert locks.try_acquire(2, oid(0, 9), LockMode.X)  # IX on PAGE0
+    for slot in range(3):
+        assert locks.try_acquire(1, oid(0, slot), LockMode.S)
+    assert mutation.triggered
+    assert locks._table[PAGE0].granted[1] is LockMode.S
+    assert locks.grant_problems(1, PAGE0, LockMode.S)
 
 
 # -- introspection ------------------------------------------------------------

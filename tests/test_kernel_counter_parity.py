@@ -14,14 +14,16 @@ Two parity vehicles:
   every step goes through the general loop's policy machinery;
 * a kernel-level traffic pattern, run plain and with a far horizon
   (``until`` beyond the last event), the other way into the general
-  loop.
+  loop;
+* contended ``Use`` holds on a FCFS resource, with kills while queued,
+  after a grant and mid-hold, run plain and under a ``TracingPolicy``.
 """
 
 from repro import Database, SystemConfig, WorkloadConfig
 from repro.config import ExperimentConfig
 from repro.core import CompactionPlan
 from repro.explore.scheduler import TracingPolicy
-from repro.sim import Delay, Event, Simulator, Wait
+from repro.sim import Delay, Event, Resource, Simulator, Use, Wait
 from repro.workload import WorkloadDriver
 
 WORKLOAD = WorkloadConfig(num_partitions=2, objects_per_partition=170,
@@ -86,4 +88,56 @@ def test_kernel_traffic_counters_match_with_far_horizon():
     assert now_general == now_fast
     assert general.counters() == fast.counters()
     assert fast.counters()["timers_cancelled"] > 0
+    assert fast.counters()["events_dispatched"] > 0
+
+
+def _resource_traffic(sim):
+    """Contended ``Use`` holds plus the three kill points of a hold."""
+    cpu = Resource(sim, capacity=1, name="cpu")
+    disk = Resource(sim, capacity=2, name="disk")
+
+    def long_hold():
+        yield Use(disk, 10.0)
+
+    def worker(index):
+        for step in range(5):
+            yield Use(cpu, 0.5 + (index + step) % 3)
+            yield Use(disk, 1.0 + index % 2)
+            yield Delay(0.25 * (step % 2))
+
+    def killer(holding, queued, granted):
+        yield Delay(3.0)
+        holding.kill()              # mid-hold on the disk
+        queued.kill()               # queued for the CPU
+        yield Use(cpu, 1.0)
+        # Right after a hold ends: the release just granted ``granted``
+        # the CPU, and its wakeup has not run yet.
+        granted.kill()
+
+    holder = sim.spawn(long_hold(), name="long-hold")
+    workers = [sim.spawn(worker(index), name=f"worker-{index}")
+               for index in range(6)]
+    sim.spawn(killer(holder, workers[4], workers[1]), name="killer")
+    return cpu, disk
+
+
+def test_use_counters_match_across_loops():
+    fast = Simulator()
+    fast_resources = _resource_traffic(fast)
+    fast.run()
+
+    general = Simulator()
+    general_resources = _resource_traffic(general)
+    policy = TracingPolicy()
+    general.set_policy(policy)
+    general.run()
+
+    assert policy.consultations > 0
+    assert general.now == fast.now
+    assert general.counters() == fast.counters()
+    for a, b in zip(fast_resources, general_resources):
+        assert (a.total_busy_time, a.total_acquisitions) == \
+            (b.total_busy_time, b.total_acquisitions)
+        assert (a.in_use, a.queue_length) == (0, 0)
+        assert (b.in_use, b.queue_length) == (0, 0)
     assert fast.counters()["events_dispatched"] > 0

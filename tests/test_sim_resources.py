@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import CpuMeter, Delay, Mutex, Resource, Simulator
+from repro.sim import (CpuMeter, Delay, Mutex, ProcessKilled, Resource,
+                       Simulator, Use)
 
 
 def test_resource_grants_immediately_when_free():
@@ -242,3 +243,113 @@ def test_kill_while_queued_on_acquire_path():
     assert finish == {"survivor": 40.0}
     assert cpu.in_use == 0
     assert cpu.queue_length == 0
+
+
+# -- the kernel-served Use command ---------------------------------------------
+#
+# ``yield Use(resource, dt)`` hands the whole hold to the kernel.  Each
+# kill case below checks the resource's bookkeeping against the FCFS
+# trace worked out by hand in its comments.
+
+def _user(sim, cpu, tag, duration, finish, killed):
+    try:
+        yield Use(cpu, duration)
+    except ProcessKilled:
+        killed.append((tag, sim.now))
+        raise
+    finish[tag] = sim.now
+
+
+def test_use_rejects_a_negative_hold():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        Use(Resource(sim), -1.0)
+
+
+def test_use_kill_while_queued():
+    # t=0   holder granted (acq 1); victim, survivor queue (length 2)
+    # t=20  victim killed: leaves the queue (length 1), no grant
+    # t=50  holder releases -> survivor granted (acq 2), holds to 60
+    # The CPU is busy without a gap over [0, 60].
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1, name="cpu")
+    finish, killed, queue_after_kill = {}, [], []
+    sim.spawn(_user(sim, cpu, "holder", 50.0, finish, killed), name="h")
+    victim = sim.spawn(_user(sim, cpu, "victim", 10.0, finish, killed),
+                       name="v")
+    sim.spawn(_user(sim, cpu, "survivor", 10.0, finish, killed), name="s")
+
+    def kill():
+        victim.kill()
+        queue_after_kill.append(cpu.queue_length)
+    sim.call_later(20.0, kill)
+    sim.run()
+    assert killed == [("victim", 20.0)]
+    assert queue_after_kill == [1]
+    assert finish == {"holder": 50.0, "survivor": 60.0}
+    assert cpu.total_busy_time == 60.0
+    assert cpu.total_acquisitions == 2
+    assert (cpu.in_use, cpu.queue_length) == (0, 0)
+
+
+def test_use_kill_after_grant_before_hold_starts():
+    # t=0   holder granted (acq 1); victim, survivor queue
+    # t=50  holder's hold ends: release grants the victim (acq 2) and
+    #       schedules its wakeup; the holder then runs on and kills the
+    #       victim before that wakeup: the slot passes to the survivor
+    #       (acq 3), who holds it over [50, 60].  The victim's wakeup
+    #       still dispatches, as a no-op.
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1, name="cpu")
+    finish, killed, seen = {}, [], []
+
+    def holder():
+        yield Use(cpu, 50.0)
+        seen.append((cpu.in_use, cpu.queue_length, cpu.total_acquisitions))
+        victim.kill()
+        seen.append((cpu.in_use, cpu.queue_length, cpu.total_acquisitions))
+        finish["holder"] = sim.now
+
+    sim.spawn(holder(), name="h")
+    victim = sim.spawn(_user(sim, cpu, "victim", 10.0, finish, killed),
+                       name="v")
+    sim.spawn(_user(sim, cpu, "survivor", 10.0, finish, killed), name="s")
+    sim.run()
+    # Victim granted with the survivor still queued; then the survivor
+    # holds the slot with nobody queued.
+    assert seen == [(1, 1, 2), (1, 0, 3)]
+    assert killed == [("victim", 50.0)]
+    assert finish == {"holder": 50.0, "survivor": 60.0}
+    assert cpu.total_busy_time == 60.0
+    assert cpu.total_acquisitions == 3
+    assert (cpu.in_use, cpu.queue_length) == (0, 0)
+
+
+def test_use_kill_mid_hold():
+    # t=0   victim granted (acq 1), hold to 50; survivor queues
+    # t=20  victim killed mid-hold: the slot is released before the kill
+    #       reaches the generator (busy 0..20) and goes to the survivor
+    #       (acq 2), who holds it over [20, 30]
+    # t=50  the victim's hold timer still dispatches, as a no-op
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1, name="cpu")
+    finish, killed, in_use_at_kill = {}, [], []
+
+    def victim_body():
+        try:
+            yield Use(cpu, 50.0)
+        except ProcessKilled:
+            in_use_at_kill.append((cpu.in_use, cpu.queue_length))
+            raise
+
+    victim = sim.spawn(victim_body(), name="v")
+    sim.spawn(_user(sim, cpu, "survivor", 10.0, finish, killed), name="s")
+    sim.call_later(20.0, victim.kill)
+    sim.run()
+    # At the throw the slot already belongs to the survivor.
+    assert in_use_at_kill == [(1, 0)]
+    assert finish == {"survivor": 30.0}
+    assert sim.now == 50.0
+    assert cpu.total_busy_time == 30.0
+    assert cpu.total_acquisitions == 2
+    assert (cpu.in_use, cpu.queue_length) == (0, 0)
